@@ -115,7 +115,7 @@ fn main() {
     let l = gen.layout();
     let shared_lines = l.shared_ro + l.shared_rw;
     let total_lines = gen.span_lines();
-    let pages: std::collections::HashSet<u64> = (0..shared_lines.div_ceil(64)).collect();
+    let pages: dve_sim::hash::FastSet<u64> = (0..shared_lines.div_ceil(64)).collect();
     let scope = dve_coherence::engine::ReplicationScope::Pages(pages);
     let ops = ops_from_env();
     let base = run_with(&p, Scheme::BaselineNuma, ops, |_| {});

@@ -27,6 +27,7 @@ use crate::replica_dir::{ReplicaDirectory, ReplicaEviction, ReplicaPolicy, Repli
 use crate::types::{CacheState, LineAddr, ReqType, ServiceLevel, NUM_SOCKETS};
 use dve_noc::topology::{PlacementMap, PlacementPolicy};
 use dve_noc::traffic::MessageClass;
+use dve_sim::hash::FastSet;
 use dve_sim::latency::{Component, LatencyBreakdown, Stamp};
 use std::collections::BTreeSet;
 
@@ -39,7 +40,7 @@ pub enum ReplicationScope {
     All,
     /// Only the listed page numbers are replicated (the OS populated the
     /// RMT for these — e.g. a process's failure-resilient data segments).
-    Pages(std::collections::HashSet<u64>),
+    Pages(FastSet<u64>),
 }
 
 impl ReplicationScope {

@@ -20,7 +20,8 @@
 //! directory").
 
 use crate::types::LineAddr;
-use std::collections::{BTreeMap, HashMap};
+use dve_sim::hash::FastMap;
+use std::collections::BTreeMap;
 
 /// Which protocol family this replica directory implements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -88,7 +89,7 @@ pub struct ReplicaDirectory {
     capacity: Option<usize>,
     /// Lines per tracked region (1 = cache-line granularity).
     region_lines: u64,
-    entries: HashMap<LineAddr, (ReplicaState, u64)>,
+    entries: FastMap<LineAddr, (ReplicaState, u64)>,
     lru_index: BTreeMap<u64, LineAddr>,
     tick: u64,
     stats: ReplicaDirStats,
@@ -111,7 +112,7 @@ impl ReplicaDirectory {
             policy,
             capacity,
             region_lines,
-            entries: HashMap::new(),
+            entries: FastMap::default(),
             lru_index: BTreeMap::new(),
             tick: 0,
             stats: ReplicaDirStats::default(),

@@ -310,7 +310,7 @@ fn speculation_confirms_clean_and_squashes_dirty() {
 fn selective_replication_serves_covered_pages_only() {
     use dve_coherence::engine::ReplicationScope;
     // Replicate only page 1 (lines 64..128).
-    let mut pages = std::collections::HashSet::new();
+    let mut pages = dve_sim::hash::FastSet::default();
     pages.insert(1u64);
     let cfg = EngineConfig {
         replication_scope: ReplicationScope::Pages(pages),
@@ -336,7 +336,7 @@ fn selective_replication_serves_covered_pages_only() {
 #[test]
 fn selective_replication_covered_writes_stay_consistent() {
     use dve_coherence::engine::ReplicationScope;
-    let mut pages = std::collections::HashSet::new();
+    let mut pages = dve_sim::hash::FastSet::default();
     pages.insert(1u64);
     let cfg = EngineConfig {
         replication_scope: ReplicationScope::Pages(pages),

@@ -61,9 +61,10 @@ use dve_noc::link::{LinkSendOutcome, LinkTable};
 use dve_noc::mesh::Mesh;
 use dve_noc::topology::PlacementMap;
 use dve_noc::traffic::{MessageClass, TrafficStats};
+use dve_sim::hash::FastSet;
 use dve_sim::latency::{Component, Stamp};
 use dve_sim::time::Cycles;
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 
 /// Mesh node hosting the directory + memory controller tile. The LLC
 /// home slice for a line is colocated with its directory entry on this
@@ -100,7 +101,7 @@ pub struct SystemFabric {
     degraded_lines: BTreeSet<(usize, usize, u64)>,
     /// Fault domains planted as *transient* (`[socket][channel]`): the
     /// §V-B2 repair write clears them. Hard faults never enter here.
-    transients: Vec<Vec<HashSet<FaultDomain>>>,
+    transients: Vec<Vec<FastSet<FaultDomain>>>,
     /// Paced patrol scrubbers, `[socket][channel]`; empty when scrub is
     /// not configured.
     scrubbers: Vec<Vec<Scrubber>>,
@@ -180,7 +181,7 @@ impl SystemFabric {
             chaos: cfg.chaos.is_some(),
             degraded_lines: BTreeSet::new(),
             transients: (0..nodes)
-                .map(|_| (0..channels).map(|_| HashSet::new()).collect())
+                .map(|_| (0..channels).map(|_| FastSet::default()).collect())
                 .collect(),
             scrubbers,
             ledger: RecoveryLedger::default(),

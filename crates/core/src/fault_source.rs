@@ -41,9 +41,8 @@
 //! timed state — so every pinned golden replays bit-identically, which
 //! the goldens suite and the `chaos` harness both gate.
 
-use std::collections::HashSet;
-
 use dve_dram::thermal::ThermalProfile;
+use dve_sim::hash::FastSet;
 use dve_sim::rng::{derive_seed, SplitMix64};
 
 use crate::chaos::{
@@ -102,7 +101,7 @@ pub struct HammerSource {
     next_poll: u64,
     /// Rows already planted this run (`(node, channel, flat_bank,
     /// row)`), so a row that stays hot does not re-plant every poll.
-    planted: HashSet<(usize, usize, usize, u64)>,
+    planted: FastSet<(usize, usize, usize, u64)>,
 }
 
 impl HammerSource {
@@ -112,7 +111,7 @@ impl HammerSource {
         HammerSource {
             next_poll: params.poll_interval,
             params,
-            planted: HashSet::new(),
+            planted: FastSet::default(),
         }
     }
 }

@@ -18,8 +18,9 @@
 use dve_dram::config::DramConfig;
 use dve_dram::controller::{EccProfile, MemoryController};
 use dve_ecc::code::CheckOutcome;
+use dve_sim::hash::FastSet;
 use dve_sim::time::Cycles;
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// What a recoverable read observed end-to-end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,7 +91,7 @@ pub struct RecoverableMemory {
     primary: MemoryController,
     replica: MemoryController,
     /// Line addresses known degraded (one working copy only).
-    degraded: HashSet<u64>,
+    degraded: FastSet<u64>,
     stats: RecoveryStats,
     /// Non-clean reads observed since the last [`Self::take_events`],
     /// bounded at `event_cap` entries: when full, the *oldest* event is
@@ -117,7 +118,7 @@ impl RecoverableMemory {
         RecoverableMemory {
             primary,
             replica,
-            degraded: HashSet::new(),
+            degraded: FastSet::default(),
             stats: RecoveryStats::default(),
             events: VecDeque::new(),
             log_events: false,

@@ -31,7 +31,7 @@ use dve_sim::time::Cycles;
 use dve_workloads::op::{MemReq, Op};
 use dve_workloads::WorkloadProfile;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// Results of one run.
 #[derive(Debug, Clone)]
@@ -140,6 +140,43 @@ pub struct OpCompletion {
     /// Machine-check exceptions this op's accesses raised (every copy
     /// failed) — the per-tenant exposure metric.
     pub machine_checks: u64,
+}
+
+/// The runner's core scheduler: always serves the core with the
+/// earliest local clock, and among equal clocks the highest core index
+/// (the max of `(Reverse(clock), core)`). The served core stays at the
+/// top of the heap while it executes its op; [`CoreScheduler::reschedule`]
+/// then rewrites its clock in place (one sift-down that usually stops
+/// early) instead of a pop and a push per op.
+#[derive(Debug)]
+struct CoreScheduler {
+    heap: BinaryHeap<(Reverse<u64>, usize)>,
+}
+
+impl CoreScheduler {
+    /// Schedules `cores`, each at its clock `core_time[core]`.
+    fn new(core_time: &[u64], cores: impl Iterator<Item = usize>) -> CoreScheduler {
+        CoreScheduler {
+            heap: cores.map(|c| (Reverse(core_time[c]), c)).collect(),
+        }
+    }
+
+    /// The next core to serve and its clock, or `None` once every core
+    /// has retired.
+    fn next(&self) -> Option<(u64, usize)> {
+        self.heap.peek().map(|&(Reverse(now), core)| (now, core))
+    }
+
+    /// Moves the core returned by [`CoreScheduler::next`] to clock
+    /// `next`.
+    fn reschedule(&mut self, next: u64) {
+        self.heap.peek_mut().expect("a core is being served").0 = Reverse(next);
+    }
+
+    /// Retires the core returned by [`CoreScheduler::next`].
+    fn retire(&mut self) {
+        PeekMut::pop(self.heap.peek_mut().expect("a core is being served"));
+    }
 }
 
 /// Snapshot of the cumulative counters at [`System::begin_region`],
@@ -403,15 +440,11 @@ impl System {
         }
         let cores = self.core_time.len();
         let start_max = *self.core_time.iter().max().expect("cores");
-        let mut heap: BinaryHeap<(Reverse<u64>, usize)> = (0..cores)
-            .map(|c| (Reverse(self.core_time[c]), c))
-            .collect();
+        let mut sched = CoreScheduler::new(&self.core_time, 0..cores);
         let mut remaining: Vec<u64> = vec![mem_ops_per_core; cores];
-        let mut live = cores;
         let mut total_ops = 0u64;
         let mut total_mem = 0u64;
-        while live > 0 {
-            let (Reverse(now), core) = heap.pop().expect("live cores remain");
+        while let Some((now, core)) = sched.next() {
             self.advance_chaos(now);
             let op = self.supply.next_op(core);
             total_ops += 1;
@@ -452,9 +485,9 @@ impl System {
             };
             self.core_time[core] = next;
             if remaining[core] == 0 {
-                live -= 1;
+                sched.retire();
             } else {
-                heap.push((Reverse(next), core));
+                sched.reschedule(next);
             }
         }
         // Region barrier: the region only ends once every core's
@@ -541,12 +574,12 @@ impl System {
             queues[op.core].push(i);
         }
         let mut cursor = vec![0usize; cores];
-        let mut heap: BinaryHeap<(Reverse<u64>, usize)> = (0..cores)
-            .filter(|&c| !queues[c].is_empty())
-            .map(|c| (Reverse(self.core_time[c]), c))
-            .collect();
+        let mut sched = CoreScheduler::new(
+            &self.core_time,
+            (0..cores).filter(|&c| !queues[c].is_empty()),
+        );
         let mut completions: Vec<Option<OpCompletion>> = vec![None; ops.len()];
-        while let Some((Reverse(now), core)) = heap.pop() {
+        while let Some((now, core)) = sched.next() {
             self.advance_chaos(now);
             let idx = queues[core][cursor[core]];
             cursor[core] += 1;
@@ -578,8 +611,10 @@ impl System {
             debug_assert_eq!(grant.queued, 0, "core issued without a free MSHR");
             let next = (now + 1).max(self.mshrs[core].earliest_available());
             self.core_time[core] = next;
-            if cursor[core] < queues[core].len() {
-                heap.push((Reverse(next), core));
+            if cursor[core] == queues[core].len() {
+                sched.retire();
+            } else {
+                sched.reschedule(next);
             }
         }
         // Epoch barrier: drain outstanding misses so epochs never leak
@@ -1355,6 +1390,155 @@ mod tests {
         sys.set_forced_degraded(false);
         sys.run_batch(&batch);
         assert_eq!(sys.engine_stats().degraded_transitions, 2, "left §V-E");
+    }
+
+    fn backprop() -> WorkloadProfile {
+        catalog()
+            .into_iter()
+            .find(|p| p.name == "backprop")
+            .unwrap()
+    }
+
+    /// Where [`tie_system`] parks the cores it does not test.
+    const PARKED: u64 = 1_000_000;
+
+    /// A cold backprop system (trace `seed`) with the given core clocks;
+    /// every other core is parked at [`PARKED`].
+    fn tie_system(seed: u64, clocks: [(usize, u64); 2]) -> System {
+        let mut cfg = SystemConfig::table_ii(Scheme::BaselineNuma);
+        cfg.warmup_per_thread = 0;
+        let mut sys = System::new(cfg, &backprop(), seed);
+        sys.core_time.fill(PARKED);
+        for (core, t) in clocks {
+            sys.core_time[core] = t;
+        }
+        sys
+    }
+
+    /// Two cores `i < j` whose first memory ops hit the same DRAM bank:
+    /// issued at equal clocks, exactly one of the two queues behind the
+    /// other.
+    struct TiePair {
+        seed: u64,
+        /// The first memory op of core `i`, then of core `j`.
+        ops: [ClientOp; 2],
+        /// Cycles of compute/sync ops before each core's first memory op.
+        leads: [u64; 2],
+        /// The clock both memory ops issue at.
+        tie: u64,
+    }
+
+    impl TiePair {
+        /// The first trace seed that has such a pair.
+        fn find() -> TiePair {
+            for seed in 0..64 {
+                let mut supply = TraceSupply::new(&backprop(), 16, seed, 1);
+                let first: Vec<(ClientOp, u64)> = (0..16)
+                    .map(|core| {
+                        let mut lead = 0;
+                        loop {
+                            match supply.next_op(core) {
+                                Op::Compute(c) => lead += c as u64,
+                                Op::Sync => lead += Op::SYNC_CYCLES as u64,
+                                Op::Mem { line, req } => {
+                                    break (ClientOp { core, line, req }, lead)
+                                }
+                            }
+                        }
+                    })
+                    .collect();
+                for j in 0..16 {
+                    for i in 0..j {
+                        let pair = TiePair {
+                            seed,
+                            ops: [first[i].0, first[j].0],
+                            leads: [first[i].1, first[j].1],
+                            tie: first[i].1.max(first[j].1),
+                        };
+                        let [lo, hi] = pair.batch_at_tie();
+                        if (lo.breakdown.bank_queue > 0) != (hi.breakdown.bank_queue > 0) {
+                            return pair;
+                        }
+                    }
+                }
+            }
+            panic!("no two first memory ops share a DRAM bank");
+        }
+
+        /// Both ops through [`System::run_batch`], their cores at the tie.
+        fn batch_at_tie(&self) -> [OpCompletion; 2] {
+            let [a, b] = self.ops;
+            let mut sys = tie_system(self.seed, [(a.core, self.tie), (b.core, self.tie)]);
+            let done = sys.run_batch(&self.ops);
+            [done[0], done[1]]
+        }
+
+        /// Completion of op `k` issued alone at the tie, the other core
+        /// parked: its latency with nothing to queue behind.
+        fn alone_at_tie(&self, k: usize) -> u64 {
+            let (me, other) = (self.ops[k].core, self.ops[1 - k].core);
+            let mut sys = tie_system(self.seed, [(me, self.tie), (other, PARKED)]);
+            sys.run_batch(&self.ops[k..=k])[0].complete_at
+        }
+    }
+
+    #[test]
+    fn run_batch_serves_the_higher_core_first_at_equal_clocks() {
+        let pair = TiePair::find();
+        let [lo, hi] = pair.batch_at_tie();
+        let [i, j] = pair.ops.map(|op| op.core);
+        assert_eq!((lo.issued_at, hi.issued_at), (pair.tie, pair.tie));
+        assert_eq!(hi.breakdown.bank_queue, 0, "core {j} served first");
+        assert!(lo.breakdown.bank_queue > 0, "core {i} queued behind it");
+        assert!(lo.complete_at.max(hi.complete_at) < PARKED);
+    }
+
+    #[test]
+    fn step_ops_serves_the_higher_core_first_at_equal_clocks() {
+        // The same two memory ops, now drawn from the trace: each core
+        // starts early by its lead so both reach the tie together, and
+        // retires after the op, leaving its clock at the completion.
+        let pair = TiePair::find();
+        let [i, j] = pair.ops.map(|op| op.core);
+        let [lead_i, lead_j] = pair.leads;
+        let mut sys = tie_system(pair.seed, [(i, pair.tie - lead_i), (j, pair.tie - lead_j)]);
+        sys.step_ops(1);
+        assert_eq!(
+            sys.core_time[j],
+            pair.alone_at_tie(1),
+            "core {j} served first"
+        );
+        assert!(
+            sys.core_time[i] > pair.alone_at_tie(0),
+            "core {i} queued behind it"
+        );
+    }
+
+    proptest::proptest! {
+        // The in-place scheduler serves cores in exactly the order of a
+        // pop-then-push BinaryHeap loop, ties included.
+        #[test]
+        fn core_scheduler_matches_pop_push_heap(
+            clocks in proptest::collection::vec(0u64..8, 1..17),
+            steps in proptest::collection::vec((0u64..4, proptest::prelude::any::<bool>()), 0..200),
+        ) {
+            let mut reference: BinaryHeap<(Reverse<u64>, usize)> =
+                clocks.iter().enumerate().map(|(c, &t)| (Reverse(t), c)).collect();
+            let mut sched = CoreScheduler::new(&clocks, 0..clocks.len());
+            let mut steps = steps.into_iter();
+            while let Some((Reverse(now), core)) = reference.pop() {
+                proptest::prop_assert_eq!(sched.next(), Some((now, core)));
+                // Once the steps run out, every core retires.
+                match steps.next() {
+                    Some((delta, false)) => {
+                        reference.push((Reverse(now + delta), core));
+                        sched.reschedule(now + delta);
+                    }
+                    _ => sched.retire(),
+                }
+            }
+            proptest::prop_assert_eq!(sched.next(), None);
+        }
     }
 
     #[test]

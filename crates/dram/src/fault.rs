@@ -10,7 +10,7 @@
 //! replica whenever detection fires.
 
 use crate::address::{AddressMapper, DramCoord};
-use std::collections::HashSet;
+use dve_sim::hash::FastSet;
 
 /// A failed hardware component, mirroring Fig. 2's anatomy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -80,7 +80,7 @@ pub struct FaultImpact {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultState {
-    domains: HashSet<FaultDomain>,
+    domains: FastSet<FaultDomain>,
 }
 
 impl FaultState {

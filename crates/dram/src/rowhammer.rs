@@ -9,7 +9,7 @@
 //! thresholds are defined over. The `ablation` harness uses it to
 //! measure the exposure reduction Dvé's replication provides.
 
-use std::collections::HashMap;
+use dve_sim::hash::FastMap;
 
 /// Tracks per-row activation counts within refresh windows.
 ///
@@ -28,7 +28,7 @@ use std::collections::HashMap;
 pub struct RowHammerMonitor {
     window_cycles: u64,
     window_start: u64,
-    counts: HashMap<(usize, u64), u64>,
+    counts: FastMap<(usize, u64), u64>,
     max_seen: u64,
     windows: u64,
 }
@@ -46,7 +46,7 @@ impl RowHammerMonitor {
         RowHammerMonitor {
             window_cycles,
             window_start: 0,
-            counts: HashMap::new(),
+            counts: FastMap::default(),
             max_seen: 0,
             windows: 0,
         }

@@ -8,9 +8,10 @@
 //!   reproducible.
 //! * [`time`] — strongly-typed simulated time ([`time::Cycles`],
 //!   [`time::Nanos`]) and clock-domain conversion ([`time::Frequency`]).
-//! * [`stats`] — counters, histograms and summary statistics used by the
-//!   evaluation harnesses (including the geometric-mean aggregation the
-//!   paper reports).
+//! * [`stats`] — the geometric-mean aggregation the paper reports and
+//!   the log-linear latency histogram.
+//! * [`hash`] — the keyed fast hasher and the [`hash::FastMap`] /
+//!   [`hash::FastSet`] aliases behind the simulator's hot maps.
 //! * [`rng`] — a tiny, dependency-free, seedable [`rng::SplitMix64`]
 //!   generator for components that need cheap deterministic randomness
 //!   without pulling `rand` into the simulation core.
@@ -41,6 +42,7 @@
 //! ```
 
 pub mod event;
+pub mod hash;
 pub mod latency;
 pub mod pdes;
 pub mod resource;
@@ -53,5 +55,5 @@ pub use latency::{Component, LatencyBreakdown, Stamp};
 pub use pdes::{Ctx, Domain, ExecStats, Executive};
 pub use resource::{Grant, Resource, ResourceStats};
 pub use rng::SplitMix64;
-pub use stats::{geomean, Counter, Histogram, Summary};
+pub use stats::geomean;
 pub use time::{Cycles, Frequency, Nanos};

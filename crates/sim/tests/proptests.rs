@@ -2,7 +2,7 @@
 
 use dve_sim::event::EventQueue;
 use dve_sim::rng::SplitMix64;
-use dve_sim::stats::{geomean, Histogram, Summary};
+use dve_sim::stats::geomean;
 use dve_sim::time::{Cycles, Frequency, Nanos};
 use proptest::prelude::*;
 
@@ -26,38 +26,6 @@ proptest! {
                 prop_assert!(w[0].1 < w[1].1, "FIFO within a timestamp violated");
             }
         }
-    }
-
-    // Histogram mean equals the exact mean; count and max are exact.
-    #[test]
-    fn histogram_summary_statistics_exact(samples in proptest::collection::vec(0u64..1_000_000, 1..300)) {
-        let mut h = Histogram::new();
-        for &s in &samples {
-            h.record(s);
-        }
-        let exact_mean = samples.iter().sum::<u64>() as f64 / samples.len() as f64;
-        prop_assert_eq!(h.count(), samples.len() as u64);
-        prop_assert_eq!(h.max(), *samples.iter().max().unwrap());
-        prop_assert!((h.mean() - exact_mean).abs() < 1e-6);
-        // Percentile upper bounds dominate the true percentiles.
-        let mut sorted = samples.clone();
-        sorted.sort_unstable();
-        let true_p50 = sorted[(sorted.len() - 1) / 2];
-        prop_assert!(h.percentile(0.5) as f64 >= true_p50 as f64 * 0.99);
-    }
-
-    // Welford matches the two-pass variance.
-    #[test]
-    fn summary_matches_two_pass(samples in proptest::collection::vec(-1e6f64..1e6, 2..200)) {
-        let mut s = Summary::new();
-        for &x in &samples {
-            s.record(x);
-        }
-        let n = samples.len() as f64;
-        let mean = samples.iter().sum::<f64>() / n;
-        let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
-        prop_assert!((s.mean() - mean).abs() < 1e-6 * mean.abs().max(1.0));
-        prop_assert!((s.variance() - var).abs() < 1e-5 * var.abs().max(1.0));
     }
 
     // geomean(k·xs) == k · geomean(xs) and lies within [min, max].
