@@ -26,14 +26,16 @@
 //!
 //! # Zero-allocation trials
 //!
-//! Campaign throughput is decode-pipeline-bound, so the executor threads
-//! a per-worker [`TrialScratch`] (golden data, codeword and work buffers,
-//! the RS decoder scratch, the replay address list and the recovery-event
-//! buffer) through every trial: the adjudication path of a fault-free
-//! trial — the overwhelming majority — touches the heap zero times after
-//! the scratch is built. Results remain **bit-identical** for any worker
+//! The executor threads a per-worker [`TrialScratch`] (golden data,
+//! codeword and work buffers, the RS decoder scratch, the replay address
+//! list, the recovery-event buffer and the replay memory itself) through
+//! every trial: the adjudication path of a fault-free trial touches the
+//! heap zero times after the scratch is built, and a faulty trial's
+//! replay resets the scratch's [`RecoverableMemory`] instead of
+//! building a new one. Results remain **bit-identical** for any worker
 //! count and to the pre-scratch implementation: the RNG draw order is
-//! unchanged and every buffer is fully overwritten per trial.
+//! unchanged, every buffer is fully overwritten per trial, and a reset
+//! memory behaves exactly as a fresh one.
 
 use crate::sampler::{ChipFault, FaultSample, FaultSampler, Granularity, Side, StrataPlan};
 use dve::recovery::{RecoverableMemory, RecoveryEvent};
@@ -48,7 +50,7 @@ use dve_ecc::rs16::Rs16Detect;
 use dve_reliability::accel::AccelParams;
 use dve_sim::rng::{derive_seed, SplitMix64};
 use dve_sim::time::Cycles;
-use dve_workloads::{catalog, Op, TraceGenerator};
+use dve_workloads::{catalog, Op, TraceGenerator, WorkloadProfile};
 
 /// The protection schemes a campaign can exercise.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -156,12 +158,13 @@ pub struct TrialResult {
 
 /// Per-worker reusable buffers threaded through [`TrialExecutor::run_with`].
 ///
-/// Build one per worker thread with [`TrialExecutor::make_scratch`]; its
-/// buffers are fully overwritten each trial, so reuse cannot leak state
-/// between trials and the campaign stays bit-identical for any worker
-/// count. Fault-free trials (the common case) complete without any heap
-/// allocation.
-#[derive(Debug, Clone, Default)]
+/// Build one per worker thread with [`TrialExecutor::make_scratch`]; a
+/// scratch belongs to the executor's scheme. Its buffers are fully
+/// overwritten and its replay memory reset each trial, so reuse cannot
+/// leak state between trials and the campaign stays bit-identical for
+/// any worker count. Fault-free trials (the common case) complete
+/// without any heap allocation.
+#[derive(Debug, Clone)]
 pub struct TrialScratch {
     /// Golden dataword drawn per trial.
     golden: Vec<u8>,
@@ -180,6 +183,12 @@ pub struct TrialScratch {
     /// Recovery events accumulated by the system replay, copied into the
     /// [`TrialResult`] at the end of each trial.
     events: Vec<RecoveryEvent>,
+    /// The scheme whose executor built this scratch.
+    scheme: CampaignScheme,
+    /// The system-replay memory with the scheme's ECC, reset at the
+    /// start of every replay. Single-copy Chipkill replays on its
+    /// primary controller alone.
+    replay: RecoverableMemory,
 }
 
 /// Runs trials for one scheme; cheap to construct, reusable across a
@@ -194,6 +203,8 @@ pub struct TrialExecutor {
     /// Memory operations replayed from the workload trace per trial
     /// (0 disables the system replay for pure-statistics campaigns).
     replay_ops: u64,
+    /// The workload profile the replay trace is drawn from.
+    profile: WorkloadProfile,
 }
 
 /// Bytes scrubbed/replayed per trial (64 lines).
@@ -209,6 +220,7 @@ impl TrialExecutor {
             dsd: Rs::dsd(),
             tsd: Rs16Detect::tsd(64),
             replay_ops,
+            profile: catalog().swap_remove(0),
         }
     }
 
@@ -217,10 +229,16 @@ impl TrialExecutor {
         self.scheme
     }
 
-    /// Builds a scratch sized for this executor's largest codeword.
+    /// Builds a scratch sized for this executor's largest codeword, with
+    /// the replay memory for its scheme.
     pub fn make_scratch(&self) -> TrialScratch {
         let max_cw = self.chipkill.codeword_len().max(self.tsd.codeword_len());
         let max_data = self.chipkill.data_len().max(self.tsd.data_len());
+        let mut replay = RecoverableMemory::new(
+            DramConfig::ddr4_2400_no_refresh(),
+            self.scheme.ecc_profile(),
+        );
+        replay.set_event_logging(true);
         TrialScratch {
             golden: Vec::with_capacity(max_data),
             clean_cw: Vec::with_capacity(max_cw),
@@ -230,6 +248,8 @@ impl TrialExecutor {
             rs: self.chipkill.make_scratch(),
             addrs: Vec::with_capacity(self.replay_ops as usize),
             events: Vec::new(),
+            scheme: self.scheme,
+            replay,
         }
     }
 
@@ -540,10 +560,16 @@ impl TrialExecutor {
     // ---- system-level replay -----------------------------------------
 
     fn replay(&self, sample: &FaultSample, rng: &mut SplitMix64, s: &mut TrialScratch) {
+        assert_eq!(
+            s.scheme, self.scheme,
+            "TrialScratch built by another scheme's executor"
+        );
+        self.trace_addrs_into(rng, &mut s.addrs);
+        s.replay.reset();
         if self.scheme.is_replicated() {
-            self.replay_replicated(sample, rng, s);
+            Self::replay_replicated(sample, &s.addrs, &mut s.replay, &mut s.events);
         } else {
-            self.replay_single(sample, rng, s);
+            Self::replay_single(sample, &s.addrs, s.replay.primary_mut(), &mut s.events);
         }
     }
 
@@ -561,8 +587,7 @@ impl TrialExecutor {
     /// Fills `addrs` with a slice of a seeded workload trace, folded into
     /// the scrub region.
     fn trace_addrs_into(&self, rng: &mut SplitMix64, addrs: &mut Vec<u64>) {
-        let profile = &catalog()[0];
-        let mut gen = TraceGenerator::new(profile, 1, rng.next_u64());
+        let mut gen = TraceGenerator::new(&self.profile, 1, rng.next_u64());
         addrs.clear();
         let lines = REPLAY_REGION_BYTES / 64;
         let mut guard = 0u64;
@@ -574,12 +599,12 @@ impl TrialExecutor {
         }
     }
 
-    fn replay_replicated(&self, sample: &FaultSample, rng: &mut SplitMix64, s: &mut TrialScratch) {
-        let mut mem = RecoverableMemory::new(
-            DramConfig::ddr4_2400_no_refresh(),
-            self.scheme.ecc_profile(),
-        );
-        mem.set_event_logging(true);
+    fn replay_replicated(
+        sample: &FaultSample,
+        addrs: &[u64],
+        mem: &mut RecoverableMemory,
+        events: &mut Vec<RecoveryEvent>,
+    ) {
         for f in &sample.faults {
             let side = f.side;
             let mc = match side {
@@ -590,8 +615,7 @@ impl TrialExecutor {
         }
         // Workload phase.
         let mut t = 0u64;
-        self.trace_addrs_into(rng, &mut s.addrs);
-        for &addr in &s.addrs {
+        for &addr in addrs {
             let (_, done) = mem.read(addr, t);
             t = done;
         }
@@ -617,23 +641,25 @@ impl TrialExecutor {
             let (_, done) = mem.read(i * 64, t);
             t = done;
         }
-        s.events.extend(mem.take_events());
+        events.extend(mem.take_events());
     }
 
-    fn replay_single(&self, sample: &FaultSample, rng: &mut SplitMix64, s: &mut TrialScratch) {
-        let mut mc = MemoryController::new(0, DramConfig::ddr4_2400_no_refresh());
-        mc.set_ecc(self.scheme.ecc_profile());
+    fn replay_single(
+        sample: &FaultSample,
+        addrs: &[u64],
+        mc: &mut MemoryController,
+        events: &mut Vec<RecoveryEvent>,
+    ) {
         for f in &sample.faults {
             mc.faults_mut()
                 .fail(Self::fault_domain(Side::Primary, f.chip));
         }
         let mut t = 0u64;
-        self.trace_addrs_into(rng, &mut s.addrs);
-        for &addr in &s.addrs {
+        for &addr in addrs {
             let (timing, outcome) = mc.read_with_check(addr, Cycles(t));
             t = timing.complete_at.raw();
             if let CheckOutcome::DetectedUncorrectable { .. } = outcome {
-                s.events.push(RecoveryEvent {
+                events.push(RecoveryEvent {
                     addr,
                     at: t,
                     outcome: dve::recovery::RecoveryOutcome::MachineCheck,
@@ -645,7 +671,7 @@ impl TrialExecutor {
             }
         }
         let mut scrubber = Scrubber::new(REPLAY_REGION_BYTES);
-        scrubber.full_pass(&mut mc, t);
+        scrubber.full_pass(mc, t);
         for f in &sample.faults {
             if f.transient {
                 mc.faults_mut()
@@ -725,16 +751,49 @@ mod tests {
 
     #[test]
     fn scratch_reuse_matches_fresh_scratch() {
-        // Reusing one scratch across many trials (in any order) must be
-        // bit-identical to a fresh scratch per trial.
+        // Reusing one scratch (and its reset replay memory) across many
+        // trials, in any order, must be bit-identical to a fresh scratch
+        // per trial, plain and stratified.
         for scheme in CampaignScheme::ALL {
             let e = exec(scheme);
+            let plan = e.strata_plan(crate::sampler::DEFAULT_TAIL_MIN, 2_000);
             let mut reused = e.make_scratch();
-            for t in [5u64, 0, 99, 3, 42, 3, 7] {
+            let mut with_events = 0;
+            let order = [5u64, 0, 99, 3, 42, 3, 7]
+                .into_iter()
+                .chain((0..2_000).step_by(13));
+            for t in order {
                 let a = e.run_with(0xFEED, t, &mut reused);
                 let b = e.run(0xFEED, t);
                 assert_eq!(a, b, "{} trial {t}", scheme.label());
+                let a = e.run_stratified_with(0xFEED, t, &plan, &mut reused);
+                let b = e.run_stratified_with(0xFEED, t, &plan, &mut e.make_scratch());
+                assert_eq!(
+                    (a.outcome, a.overlap, a.fault_count, &a.events),
+                    (b.outcome, b.overlap, b.fault_count, &b.events),
+                    "{} stratified trial {t}",
+                    scheme.label()
+                );
+                with_events += usize::from(!a.events.is_empty());
             }
+            if scheme.is_replicated() || with_events > 0 {
+                assert!(
+                    with_events > 10,
+                    "{}: {with_events} trials logged events",
+                    scheme.label()
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "another scheme's executor")]
+    fn scratch_from_another_scheme_is_rejected() {
+        let tsd = exec(CampaignScheme::DveTsd);
+        let mut scratch = exec(CampaignScheme::DveDsd).make_scratch();
+        let plan = tsd.strata_plan(crate::sampler::DEFAULT_TAIL_MIN, 100);
+        for t in 0..100 {
+            tsd.run_stratified_with(1, t, &plan, &mut scratch);
         }
     }
 

@@ -86,7 +86,7 @@ pub struct RecoveryEvent {
     pub outcome: RecoveryOutcome,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct RecoverableMemory {
     primary: MemoryController,
     replica: MemoryController,
@@ -109,22 +109,36 @@ impl RecoverableMemory {
     /// of log instead of growing with run length.
     pub const EVENT_LOG_CAP: usize = 4096;
     /// Builds a replicated region with the given ECC at both
-    /// controllers.
+    /// controllers, in the initial state [`Self::reset`] defines.
     pub fn new(cfg: DramConfig, ecc: EccProfile) -> RecoverableMemory {
-        let mut primary = MemoryController::new(0, cfg.clone());
-        let mut replica = MemoryController::new(1, cfg);
-        primary.set_ecc(ecc);
-        replica.set_ecc(ecc);
-        RecoverableMemory {
-            primary,
-            replica,
+        let mut mem = RecoverableMemory {
+            primary: MemoryController::new(0, cfg.clone()),
+            replica: MemoryController::new(1, cfg),
             degraded: FastSet::default(),
             stats: RecoveryStats::default(),
             events: VecDeque::new(),
             log_events: false,
             event_cap: Self::EVENT_LOG_CAP,
             dropped: 0,
-        }
+        };
+        mem.primary.set_ecc(ecc);
+        mem.replica.set_ecc(ecc);
+        mem.reset();
+        mem
+    }
+
+    /// Returns the region to its initial state without reallocating:
+    /// both controllers [`MemoryController::reset`], no degraded lines,
+    /// zeroed statistics, an empty event log and no dropped events. The
+    /// geometry, ECC profile, event-logging switch and log bound are
+    /// kept. A reset region behaves exactly as a freshly built one.
+    pub fn reset(&mut self) {
+        self.primary.reset();
+        self.replica.reset();
+        self.degraded.clear();
+        self.stats = RecoveryStats::default();
+        self.events.clear();
+        self.dropped = 0;
     }
 
     /// Dvé+TSD: detect-only codes, correction via replica.
@@ -364,17 +378,13 @@ mod tests {
     }
 
     #[test]
-    fn transient_fault_repairs_in_place() {
+    fn fault_repaired_before_the_read_reads_clean() {
         let mut mem = RecoverableMemory::new_dve_tsd();
         let fault = FaultDomain::Line {
             channel: 0,
             line: 1,
         };
         mem.primary_mut().faults_mut().fail(fault);
-        // Simulate a transient: the write in the repair path clears it.
-        // (We model this by repairing the fault between the replica read
-        // and the re-read — here, by clearing it before the read, then
-        // verifying the CorrectedTransient path via a scrubbed fault.)
         mem.primary_mut().faults_mut().repair(fault);
         let (o, _) = mem.read(0x40, 0);
         assert_eq!(o, RecoveryOutcome::Clean);
@@ -425,5 +435,83 @@ mod tests {
             .fail(FaultDomain::Controller);
         let (_, t_recovered) = faulty.read(0x40, 0);
         assert!(t_recovered > t_clean, "recovery path must cost more");
+    }
+
+    /// A faulted replay over 64 lines, with a transient fault cleared
+    /// halfway; returns every read's outcome and completion time.
+    fn faulted_replay(mem: &mut RecoverableMemory) -> Vec<(RecoveryOutcome, u64)> {
+        let transient = FaultDomain::Line {
+            channel: 0,
+            line: 9,
+        };
+        mem.primary_mut().faults_mut().fail(FaultDomain::Chip {
+            channel: 0,
+            rank: 0,
+            chip: 3,
+        });
+        mem.primary_mut().faults_mut().fail(transient);
+        mem.replica_mut().faults_mut().fail(FaultDomain::Line {
+            channel: 1,
+            line: 5,
+        });
+        let mut t = 0;
+        let mut out = Vec::new();
+        for i in 0..192u64 {
+            if i == 96 {
+                mem.primary_mut().faults_mut().repair(transient);
+            }
+            let (o, done) = mem.read((i * 37 % 64) * 64, t);
+            out.push((o, done));
+            t = done;
+        }
+        out
+    }
+
+    #[test]
+    fn reset_region_replays_like_a_fresh_one() {
+        let mut used = RecoverableMemory::new_dve_tsd();
+        used.set_event_logging(true);
+        // Dirty it: machine checks, degraded lines, undrained events and
+        // busy banks far in the future on both controllers.
+        used.primary_mut()
+            .faults_mut()
+            .fail(FaultDomain::Controller);
+        for i in 0..50u64 {
+            used.read(i * 64, i * 1_000_000);
+        }
+        used.replica_mut()
+            .faults_mut()
+            .fail(FaultDomain::Controller);
+        for i in 0..50u64 {
+            used.read(i * 8192, 60_000_000 + i * 1_000);
+        }
+        assert!(used.is_degraded(0) && used.stats().machine_checks > 0);
+        used.reset();
+
+        let mut fresh = RecoverableMemory::new_dve_tsd();
+        fresh.set_event_logging(true);
+        assert_eq!(faulted_replay(&mut used), faulted_replay(&mut fresh));
+        assert_eq!(used.stats(), fresh.stats());
+        assert!(fresh.stats().degraded > 0 && fresh.stats().machine_checks > 0);
+        assert_eq!(used.dropped_events(), fresh.dropped_events());
+        let events = fresh.take_events();
+        assert!(!events.is_empty());
+        assert_eq!(used.take_events(), events);
+        for line in 0..64u64 {
+            assert_eq!(used.is_degraded(line * 64), fresh.is_degraded(line * 64));
+        }
+        for (a, b) in [
+            (used.primary_mut().clone(), fresh.primary_mut().clone()),
+            (used.replica_mut().clone(), fresh.replica_mut().clone()),
+        ] {
+            assert_eq!(a.stats(), b.stats());
+            assert_eq!(a.energy(), b.energy());
+            assert_eq!(a.faults(), b.faults());
+            assert_eq!(
+                a.rowhammer().max_activations(),
+                b.rowhammer().max_activations()
+            );
+            assert_eq!(a.rowhammer().rows_over(0), b.rowhammer().rows_over(0));
+        }
     }
 }

@@ -39,12 +39,45 @@ pub struct DramCoord {
 #[derive(Debug, Clone)]
 pub struct AddressMapper {
     cfg: DramConfig,
+    /// log2 of the line size: byte address → line index.
+    line_shift: u32,
+    /// log2 of lines per row: the column field's width.
+    col_bits: u32,
+    /// log2 of banks per rank: the bank field's width.
+    bank_bits: u32,
+    /// log2 of ranks per channel: the rank field's width.
+    rank_bits: u32,
+}
+
+/// log2 of `n`, which must be a power of two.
+fn log2_exact(n: usize, what: &str) -> u32 {
+    assert!(
+        n.is_power_of_two(),
+        "AddressMapper needs power-of-two DRAM geometry: {what} = {n}"
+    );
+    n.trailing_zeros()
 }
 
 impl AddressMapper {
     /// Creates a mapper for the given configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the line size, lines per row, banks per rank and
+    /// ranks per channel are all powers of two: the address fields are
+    /// cut with shifts and masks.
     pub fn new(cfg: DramConfig) -> AddressMapper {
-        AddressMapper { cfg }
+        let line_shift = log2_exact(cfg.line_bytes, "line_bytes");
+        let col_bits = log2_exact(cfg.lines_per_row(), "lines per row");
+        let bank_bits = log2_exact(cfg.banks_per_rank, "banks_per_rank");
+        let rank_bits = log2_exact(cfg.ranks_per_channel, "ranks_per_channel");
+        AddressMapper {
+            cfg,
+            line_shift,
+            col_bits,
+            bank_bits,
+            rank_bits,
+        }
     }
 
     /// The configuration in use.
@@ -56,38 +89,42 @@ impl AddressMapper {
     ///
     /// Layout (low → high bits): line offset | column | bank | rank |
     /// row (row-major, open-page friendly).
+    #[inline]
     pub fn decode(&self, addr: u64) -> DramCoord {
-        let line = addr / self.cfg.line_bytes as u64;
-        let cols = self.cfg.lines_per_row() as u64;
-        let banks = self.cfg.banks_per_rank as u64;
-        let ranks = self.cfg.ranks_per_channel as u64;
-
-        let column = (line % cols) as usize;
-        let bank = ((line / cols) % banks) as usize;
-        let rank = ((line / (cols * banks)) % ranks) as usize;
-        let row = line / (cols * banks * ranks);
+        let line = self.line_of(addr);
+        let field = |shift: u32, bits: u32| ((line >> shift) & ((1u64 << bits) - 1)) as usize;
+        let bank_shift = self.col_bits;
+        let rank_shift = bank_shift + self.bank_bits;
+        let row_shift = rank_shift + self.rank_bits;
         DramCoord {
-            rank,
-            bank,
-            row,
-            column,
+            rank: field(rank_shift, self.rank_bits),
+            bank: field(bank_shift, self.bank_bits),
+            row: line >> row_shift,
+            column: field(0, self.col_bits),
         }
+    }
+
+    /// The channel-local line index of byte address `addr`.
+    #[inline]
+    pub fn line_of(&self, addr: u64) -> u64 {
+        addr >> self.line_shift
     }
 
     /// Re-encodes a coordinate to the lowest byte address it covers
     /// (inverse of [`Self::decode`] up to line granularity).
     pub fn encode(&self, coord: DramCoord) -> u64 {
-        let cols = self.cfg.lines_per_row() as u64;
-        let banks = self.cfg.banks_per_rank as u64;
-        let ranks = self.cfg.ranks_per_channel as u64;
+        let bank_shift = self.col_bits;
+        let rank_shift = bank_shift + self.bank_bits;
+        let row_shift = rank_shift + self.rank_bits;
         let line = coord.column as u64
-            + coord.bank as u64 * cols
-            + coord.rank as u64 * cols * banks
-            + coord.row * cols * banks * ranks;
-        line * self.cfg.line_bytes as u64
+            + ((coord.bank as u64) << bank_shift)
+            + ((coord.rank as u64) << rank_shift)
+            + (coord.row << row_shift);
+        line << self.line_shift
     }
 
     /// Flat bank identifier (rank-major) for indexing bank state arrays.
+    #[inline]
     pub fn flat_bank(&self, coord: DramCoord) -> usize {
         coord.rank * self.cfg.banks_per_rank + coord.bank
     }

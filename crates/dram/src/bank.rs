@@ -51,6 +51,14 @@ impl Bank {
         Bank::default()
     }
 
+    /// Returns the bank to the idle, precharged state [`Bank::new`]
+    /// builds, keeping the port's storage.
+    pub(crate) fn reset(&mut self) {
+        self.open_row = None;
+        self.port.reset();
+        self.activated_at = Cycles(0);
+    }
+
     /// The row currently latched in the row buffer.
     pub fn open_row(&self) -> Option<u64> {
         self.open_row

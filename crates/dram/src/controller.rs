@@ -8,7 +8,7 @@
 //! repaired (CE), or flagged uncorrectable (which, under Dvé, reroutes
 //! the request to the replica's controller on the other socket).
 
-use crate::address::AddressMapper;
+use crate::address::{AddressMapper, DramCoord};
 use crate::bank::{Bank, RowOutcome};
 use crate::config::DramConfig;
 use crate::energy::EnergyModel;
@@ -144,27 +144,47 @@ pub struct MemoryController {
 }
 
 impl MemoryController {
-    /// Creates a controller for channel `channel`.
+    /// Creates a controller for channel `channel`, in the power-on state
+    /// [`Self::reset`] defines.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `cfg`'s address geometry is a power of two (see
+    /// [`AddressMapper::new`]).
     pub fn new(channel: usize, cfg: DramConfig) -> MemoryController {
-        let banks = vec![Bank::new(); cfg.total_banks()];
-        let ranks = cfg.ranks_per_channel;
-        let t_refi = cfg.t_refi;
-        let refresh_enabled = cfg.refresh_enabled;
-        let mut maintenance = EventQueue::with_capacity(4);
-        if refresh_enabled {
-            maintenance.push(t_refi.raw(), MaintEvent::Refresh);
-        }
-        MemoryController {
+        let mut mc = MemoryController {
             channel,
-            mapper: AddressMapper::new(cfg),
-            banks,
-            energy: EnergyModel::new(ranks),
+            banks: vec![Bank::new(); cfg.total_banks()],
+            energy: EnergyModel::new(cfg.ranks_per_channel),
             faults: FaultState::new(),
             stats: ControllerStats::default(),
             ecc: EccProfile::chipkill(),
-            maintenance,
+            maintenance: EventQueue::with_capacity(4),
             hammer: RowHammerMonitor::ddr4_default(),
+            mapper: AddressMapper::new(cfg),
+        };
+        mc.reset();
+        mc
+    }
+
+    /// Returns the controller to its power-on state without reallocating:
+    /// every bank precharged and idle, no faults, zeroed statistics,
+    /// energy counts and row-hammer windows, and the first refresh due at
+    /// tREFI. The channel, geometry and ECC profile are kept. A reset
+    /// controller behaves exactly as a freshly built one.
+    pub fn reset(&mut self) {
+        for bank in &mut self.banks {
+            bank.reset();
         }
+        self.energy.reset();
+        self.faults.clear();
+        self.stats = ControllerStats::default();
+        self.maintenance.clear();
+        let cfg = self.mapper.config();
+        if cfg.refresh_enabled {
+            self.maintenance.push(cfg.t_refi.raw(), MaintEvent::Refresh);
+        }
+        self.hammer.reset();
     }
 
     /// The row-hammer exposure monitor (activations per row per refresh
@@ -235,10 +255,15 @@ impl MemoryController {
     /// Performs a timed access. The returned latency includes any queuing
     /// behind a busy bank or an in-progress refresh.
     pub fn access(&mut self, addr: u64, kind: AccessKind, now: Cycles) -> AccessResult {
-        self.catch_up_refresh(now);
         let coord = self.mapper.decode(addr);
+        self.access_at(coord, kind, now)
+    }
+
+    /// [`Self::access`] for an address already decoded to `coord`.
+    fn access_at(&mut self, coord: DramCoord, kind: AccessKind, now: Cycles) -> AccessResult {
+        self.catch_up_refresh(now);
         let flat = self.mapper.flat_bank(coord);
-        let cfg = self.mapper.config().clone();
+        let cfg = self.mapper.config();
         let (row, grant) = self.banks[flat].access(
             coord.row,
             now,
@@ -315,8 +340,15 @@ impl MemoryController {
     ///   faults) → [`CheckOutcome::DetectedUncorrectable`], Dvé's cue to
     ///   read the replica.
     pub fn read_with_check(&mut self, addr: u64, now: Cycles) -> (AccessResult, CheckOutcome) {
-        let timing = self.access(addr, AccessKind::Read, now);
-        let outcome = match self.faults.impact(self.channel, addr, &self.mapper) {
+        let coord = self.mapper.decode(addr);
+        let timing = self.access_at(coord, AccessKind::Read, now);
+        let impact = self.faults.impact_at(
+            self.channel,
+            &coord,
+            self.mapper.line_of(addr),
+            self.config().devices_per_rank,
+        );
+        let outcome = match impact {
             None => CheckOutcome::NoError,
             Some(impact) => {
                 if !impact.whole_codeword && impact.symbols_corrupted <= self.ecc.correct_symbols {
@@ -483,5 +515,66 @@ mod tests {
             outcome,
             CheckOutcome::DetectedUncorrectable { .. }
         ));
+    }
+
+    /// A faulted read/write trace that crosses many refresh intervals;
+    /// returns every timing and check outcome.
+    fn faulted_trace(m: &mut MemoryController) -> Vec<(AccessResult, CheckOutcome)> {
+        m.faults_mut().fail(FaultDomain::Chip {
+            channel: 0,
+            rank: 0,
+            chip: 3,
+        });
+        m.faults_mut().fail(FaultDomain::Line {
+            channel: 0,
+            line: 70,
+        });
+        let step = Cycles(m.config().t_refi.raw() / 3);
+        let mut t = Cycles(0);
+        let mut out = Vec::new();
+        for i in 0..300u64 {
+            let addr = (i * 7919 * 64) % (1 << 22);
+            let (r, o) = m.read_with_check(addr, t);
+            let w = m.access(addr ^ 0x2_0000, AccessKind::Write, r.complete_at);
+            out.push((r, o));
+            out.push((w, CheckOutcome::NoError));
+            t = w.complete_at + step;
+        }
+        out
+    }
+
+    #[test]
+    fn reset_controller_replays_like_a_fresh_one() {
+        let cfg = DramConfig::ddr4_2400();
+        let mut used = MemoryController::new(0, cfg.clone());
+        used.set_ecc(EccProfile::dsd());
+        // Dirty every piece of state: faults, open rows, busy banks,
+        // refresh progress, energy and several row-hammer windows.
+        used.faults_mut().fail(FaultDomain::Controller);
+        used.faults_mut().fail(FaultDomain::Row {
+            channel: 0,
+            rank: 0,
+            bank: 2,
+            row: 9,
+        });
+        for i in 0..400u64 {
+            used.read_with_check(i * 64 * 131, Cycles(i * 1_000_000));
+            used.access(i * 8192, AccessKind::Write, Cycles(i * 1_000_000));
+        }
+        assert!(used.rowhammer().windows() > 0 && used.stats().refreshes > 0);
+        used.reset();
+
+        let mut fresh = MemoryController::new(0, cfg);
+        fresh.set_ecc(EccProfile::dsd());
+        assert_eq!(faulted_trace(&mut used), faulted_trace(&mut fresh));
+        assert_eq!(used.stats(), fresh.stats());
+        assert!(fresh.stats().detected_errors > 0 && fresh.stats().refreshes > 0);
+        assert_eq!(used.energy(), fresh.energy());
+        assert_eq!(used.faults(), fresh.faults());
+        let hammer = |m: &MemoryController| {
+            let h = m.rowhammer();
+            (h.max_activations(), h.windows(), h.rows_over(0))
+        };
+        assert_eq!(hammer(&used), hammer(&fresh));
     }
 }

@@ -99,6 +99,14 @@ impl EnergyModel {
         }
     }
 
+    /// Zeroes the event counts, keeping the parameters and rank count.
+    pub(crate) fn reset(&mut self) {
+        self.activates = 0;
+        self.reads = 0;
+        self.writes = 0;
+        self.refreshes = 0;
+    }
+
     /// Records one activate+precharge.
     pub fn count_activate(&mut self) {
         self.activates += 1;

@@ -119,6 +119,12 @@ impl FaultState {
         self.domains.remove(&domain)
     }
 
+    /// Repairs every component: back to the fault-free state `new`
+    /// returns, keeping the set's storage for reuse.
+    pub(crate) fn clear(&mut self) {
+        self.domains.clear();
+    }
+
     /// Whether `domain` is currently failed.
     pub fn is_failed(&self, domain: FaultDomain) -> bool {
         self.domains.contains(&domain)
@@ -186,7 +192,7 @@ impl FaultState {
             return Vec::new();
         }
         let coord: DramCoord = mapper.decode(addr);
-        let line = addr / mapper.config().line_bytes as u64;
+        let line = mapper.line_of(addr);
         self.domains
             .iter()
             .copied()
@@ -200,12 +206,27 @@ impl FaultState {
         if self.domains.is_empty() {
             return None;
         }
-        let coord: DramCoord = mapper.decode(addr);
-        let line = addr / mapper.config().line_bytes as u64;
+        self.impact_at(
+            channel,
+            &mapper.decode(addr),
+            mapper.line_of(addr),
+            mapper.config().devices_per_rank,
+        )
+    }
+
+    /// [`Self::impact`] for an address the caller has already decoded
+    /// to `coord` and line index `line`.
+    pub(crate) fn impact_at(
+        &self,
+        channel: usize,
+        coord: &DramCoord,
+        line: u64,
+        devices_per_rank: usize,
+    ) -> Option<FaultImpact> {
         let mut symbols = 0usize;
         let mut whole = false;
         for d in &self.domains {
-            if !Self::domain_covers(*d, channel, &coord, line) {
+            if !Self::domain_covers(*d, channel, coord, line) {
                 continue;
             }
             match *d {
@@ -217,7 +238,7 @@ impl FaultState {
         }
         if whole {
             Some(FaultImpact {
-                symbols_corrupted: mapper.config().devices_per_rank + 1,
+                symbols_corrupted: devices_per_rank + 1,
                 whole_codeword: true,
             })
         } else if symbols > 0 {

@@ -57,6 +57,16 @@ impl RowHammerMonitor {
         RowHammerMonitor::new(192_000_000)
     }
 
+    /// Forgets every activation: back to the state [`Self::new`] returns
+    /// (window origin 0, no completed windows), keeping the window
+    /// length and the count table's storage.
+    pub(crate) fn reset(&mut self) {
+        self.window_start = 0;
+        self.counts.clear();
+        self.max_seen = 0;
+        self.windows = 0;
+    }
+
     /// Records one row activation of `(bank, row)` at time `now`.
     ///
     /// An activation landing exactly on a window boundary belongs to the

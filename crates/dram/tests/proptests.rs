@@ -1,13 +1,88 @@
 //! Property-based tests for the DRAM substrate.
 
-use dve_dram::address::AddressMapper;
+use dve_dram::address::{AddressMapper, DramCoord};
 use dve_dram::config::DramConfig;
 use dve_dram::controller::{AccessKind, MemoryController};
 use dve_dram::fault::{FaultDomain, FaultState};
 use dve_sim::time::Cycles;
 use proptest::prelude::*;
 
+/// The division formula the shift-and-mask decoder replaced, kept as the
+/// reference it must agree with.
+fn reference_decode(cfg: &DramConfig, addr: u64) -> DramCoord {
+    let line = addr / cfg.line_bytes as u64;
+    let cols = cfg.lines_per_row() as u64;
+    let banks = cfg.banks_per_rank as u64;
+    let ranks = cfg.ranks_per_channel as u64;
+    DramCoord {
+        rank: ((line / (cols * banks)) % ranks) as usize,
+        bank: ((line / cols) % banks) as usize,
+        row: line / (cols * banks * ranks),
+        column: (line % cols) as usize,
+    }
+}
+
+/// The multiply-and-add inverse of [`reference_decode`].
+fn reference_encode(cfg: &DramConfig, coord: DramCoord) -> u64 {
+    let cols = cfg.lines_per_row() as u64;
+    let banks = cfg.banks_per_rank as u64;
+    let ranks = cfg.ranks_per_channel as u64;
+    let line = coord.column as u64
+        + coord.bank as u64 * cols
+        + coord.rank as u64 * cols * banks
+        + coord.row * cols * banks * ranks;
+    line * cfg.line_bytes as u64
+}
+
+fn shipped_configs() -> [DramConfig; 3] {
+    [
+        DramConfig::ddr4_2400(),
+        DramConfig::ddr4_2400_no_refresh(),
+        DramConfig::far_tier(),
+    ]
+}
+
+#[test]
+#[should_panic(expected = "power-of-two DRAM geometry: banks_per_rank = 12")]
+fn non_power_of_two_banks_rejected() {
+    AddressMapper::new(DramConfig {
+        banks_per_rank: 12,
+        ..DramConfig::ddr4_2400()
+    });
+}
+
+#[test]
+#[should_panic(expected = "power-of-two DRAM geometry: lines per row = 96")]
+fn non_power_of_two_row_rejected() {
+    AddressMapper::new(DramConfig {
+        row_buffer_bytes: 6144,
+        ..DramConfig::ddr4_2400()
+    });
+}
+
+#[test]
+#[should_panic(expected = "power-of-two DRAM geometry: ranks_per_channel = 3")]
+fn non_power_of_two_ranks_rejected() {
+    AddressMapper::new(DramConfig {
+        ranks_per_channel: 3,
+        ..DramConfig::ddr4_2400()
+    });
+}
+
 proptest! {
+    // The shift-and-mask decode and encode agree with the division
+    // formula on every shipped geometry, over the whole address range.
+    #[test]
+    fn shift_decode_matches_division_reference(addr in 0u64..u64::MAX) {
+        for cfg in shipped_configs() {
+            let m = AddressMapper::new(cfg.clone());
+            let coord = m.decode(addr);
+            prop_assert_eq!(coord, reference_decode(&cfg, addr));
+            prop_assert_eq!(m.encode(coord), reference_encode(&cfg, coord));
+            prop_assert_eq!(m.line_of(addr), addr / cfg.line_bytes as u64);
+        }
+    }
+
     // Address mapping is a bijection at line granularity.
     #[test]
     fn address_mapping_bijective(addr in 0u64..(8u64 << 30)) {

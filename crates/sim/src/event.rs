@@ -100,6 +100,15 @@ impl<E> EventQueue<E> {
         self.heap.capacity()
     }
 
+    /// Drops every pending event and rewinds the clock and the insertion
+    /// counter to zero — the state [`Self::new`] returns — keeping the
+    /// heap's storage.
+    pub fn clear(&mut self) {
+        self.heap.clear();
+        self.next_seq = 0;
+        self.now = 0;
+    }
+
     /// Schedules `event` at absolute time `time`.
     ///
     /// # Panics

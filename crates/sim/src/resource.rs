@@ -100,6 +100,7 @@ impl Resource {
 
     /// Index of the slot that frees earliest (ties: lowest index, so
     /// admission order is deterministic).
+    #[inline]
     fn best_slot(slots: &[u64]) -> usize {
         let mut best = 0;
         for (i, &free) in slots.iter().enumerate().skip(1) {
@@ -111,6 +112,7 @@ impl Resource {
     }
 
     /// Admits a request arriving at `now` needing `service` cycles.
+    #[inline]
     pub fn acquire(&mut self, now: u64, service: u64) -> Grant {
         let grant = self.probe(now, service);
         if let Some(slots) = &mut self.slots {
@@ -125,6 +127,7 @@ impl Resource {
 
     /// The grant a request *would* receive, without admitting it or
     /// touching statistics (speculative costing).
+    #[inline]
     pub fn probe(&self, now: u64, service: u64) -> Grant {
         let start = match &self.slots {
             Some(slots) => now.max(slots[Self::best_slot(slots)]),
@@ -150,6 +153,7 @@ impl Resource {
 
     /// Earliest time at which *some* slot is free (0 for a pipelined
     /// port or an idle finite port).
+    #[inline]
     pub fn earliest_available(&self) -> u64 {
         match &self.slots {
             Some(slots) => slots[Self::best_slot(slots)],
@@ -174,6 +178,16 @@ impl Resource {
     /// Aggregate statistics.
     pub fn stats(&self) -> ResourceStats {
         self.stats
+    }
+
+    /// Frees every slot at time 0 and zeroes the statistics: the state
+    /// [`Resource::new`] or [`Resource::pipelined`] returns, keeping the
+    /// slot storage.
+    pub fn reset(&mut self) {
+        if let Some(slots) = &mut self.slots {
+            slots.fill(0);
+        }
+        self.stats = ResourceStats::default();
     }
 
     /// Resets the statistics (not the occupancy).
